@@ -74,35 +74,69 @@ CacheSim::CacheSim(const MachineConfig &Config) : MemLatency(Config.MemLatency) 
     L.HitLatency = LC.HitLatency;
     L.Tags.assign(L.NumSets * static_cast<uint64_t>(L.Assoc), 0);
     L.Stamps.assign(L.NumSets * static_cast<uint64_t>(L.Assoc), 0);
+    L.Mru.assign(L.NumSets, 0);
     Levels.push_back(std::move(L));
   }
   Stats.assign(Levels.size(), CacheLevelStats{});
+  if (!Levels.empty()) {
+    Level &L1 = Levels[0];
+    L1Tags = L1.Tags.data();
+    L1Stamps = L1.Stamps.data();
+    L1Mru = L1.Mru.data();
+    L1SetMask = L1.NumSets - 1;
+    L1Assoc = static_cast<uint64_t>(L1.Assoc);
+    L1Shift = L1.LineShift;
+    L1Latency = L1.HitLatency;
+  }
 }
 
-int CacheSim::access(uint64_t Address, bool IsWrite) {
-  (void)IsWrite; // write-allocate, write-back: same path as reads
-  ++Clock;
-  int Latency = 0;
+int CacheSim::accessLevels(uint64_t Address) {
+  if (Levels.empty())
+    return MemLatency;
+  // L1: scan the set (access() found the line on neither fast path).
+  uint64_t L1Line = Address >> L1Shift;
+  uint64_t L1Set = L1Line & L1SetMask;
+  uint64_t L1Base = L1Set * L1Assoc;
+  for (uint64_t W = 0; W < L1Assoc; ++W) {
+    if (L1Tags[L1Base + W] == L1Line + 1) {
+      L1Stamps[L1Base + W] = Clock;
+      L1Mru[L1Set] = static_cast<uint8_t>(W);
+      ++Stats[0].Hits;
+      HaveLast = true;
+      LastLine = L1Line;
+      LastWay = L1Base + W;
+      return L1Latency;
+    }
+  }
+  ++Stats[0].Misses;
+  int Latency = L1Latency;
   bool Hit = false;
   size_t HitLevel = Levels.size();
-  for (size_t I = 0; I < Levels.size(); ++I) {
+  for (size_t I = 1; I < Levels.size(); ++I) {
     Level &L = Levels[I];
     uint64_t Line = Address >> L.LineShift;
     uint64_t Set = Line & (L.NumSets - 1);
     uint64_t Tag = Line + 1; // offset so 0 means empty
     uint64_t BaseIdx = Set * static_cast<uint64_t>(L.Assoc);
     Latency += L.HitLatency;
-    for (int W = 0; W < L.Assoc; ++W) {
-      if (L.Tags[BaseIdx + static_cast<uint64_t>(W)] == Tag) {
-        L.Stamps[BaseIdx + static_cast<uint64_t>(W)] = Clock;
-        ++Stats[I].Hits;
-        Hit = true;
-        HitLevel = I;
-        break;
+    uint64_t Idx = BaseIdx + L.Mru[Set];
+    if (L.Tags[Idx] != Tag) {
+      Idx = BaseIdx + static_cast<uint64_t>(L.Assoc);
+      for (int W = 0; W < L.Assoc; ++W) {
+        if (L.Tags[BaseIdx + static_cast<uint64_t>(W)] == Tag) {
+          Idx = BaseIdx + static_cast<uint64_t>(W);
+          break;
+        }
       }
     }
-    if (Hit)
+    if (Idx < BaseIdx + static_cast<uint64_t>(L.Assoc)) {
+      L.Stamps[Idx] = Clock;
+      L.Mru[Set] = static_cast<uint8_t>(Idx - BaseIdx);
+      ++Stats[I].Hits;
+      Hit = true;
+      HitLevel = I;
       break;
+    }
     ++Stats[I].Misses;
   }
   if (!Hit)
@@ -132,7 +166,12 @@ int CacheSim::access(uint64_t Address, bool IsWrite) {
     }
     L.Tags[VictimIdx] = Tag;
     L.Stamps[VictimIdx] = Clock;
+    L.Mru[Set] = static_cast<uint8_t>(VictimIdx - BaseIdx);
+    if (I == 0)
+      LastWay = VictimIdx;
   }
+  HaveLast = true;
+  LastLine = L1Line;
   return Latency;
 }
 
@@ -140,7 +179,9 @@ void CacheSim::reset() {
   for (Level &L : Levels) {
     std::fill(L.Tags.begin(), L.Tags.end(), 0);
     std::fill(L.Stamps.begin(), L.Stamps.end(), 0);
+    std::fill(L.Mru.begin(), L.Mru.end(), 0);
   }
+  HaveLast = false;
   for (CacheLevelStats &S : Stats)
     S = CacheLevelStats{};
   Clock = 0;

@@ -66,8 +66,38 @@ class CacheSim {
 public:
   explicit CacheSim(const MachineConfig &Config);
 
-  /// Simulates one access; returns its latency in cycles.
-  int access(uint64_t Address, bool IsWrite);
+  // The L1 fast path keeps pointers into the level arrays.
+  CacheSim(const CacheSim &) = delete;
+  CacheSim &operator=(const CacheSim &) = delete;
+
+  /// Simulates one access; returns its latency in cycles. Inline: the
+  /// evaluator calls it for every simulated load and store.
+  [[gnu::always_inline]] int access(uint64_t Address, bool IsWrite) {
+    (void)IsWrite; // write-allocate, write-back: same path as reads
+    ++Clock;
+    uint64_t Line = Address >> L1Shift;
+    // Same L1 line as the previous access: every access leaves its line in
+    // L1, so this is an L1 hit on the way that access left.
+    if (Line == LastLine && HaveLast) {
+      L1Stamps[LastWay] = Clock;
+      ++Stats[0].Hits;
+      return L1Latency;
+    }
+    // An L1 hit on the way its set touched last.
+    if (L1Tags) {
+      uint64_t Set = Line & L1SetMask;
+      uint64_t Idx = Set * L1Assoc + L1Mru[Set];
+      if (L1Tags[Idx] == Line + 1) {
+        L1Stamps[Idx] = Clock;
+        ++Stats[0].Hits;
+        HaveLast = true;
+        LastLine = Line;
+        LastWay = Idx;
+        return L1Latency;
+      }
+    }
+    return accessLevels(Address);
+  }
 
   /// Drops all cached lines and statistics.
   void reset();
@@ -84,12 +114,30 @@ private:
     std::vector<uint64_t> Tags;
     /// LRU stamps parallel to Tags.
     std::vector<uint64_t> Stamps;
+    /// Per set, the way touched last; looked up first. Tags are unique
+    /// within a set, so the search order never changes which way hits.
+    std::vector<uint8_t> Mru;
   };
+
+  /// The full lookup and fill, for accesses the L1 fast paths miss.
+  int accessLevels(uint64_t Address);
 
   std::vector<Level> Levels;
   std::vector<CacheLevelStats> Stats;
   int MemLatency;
   uint64_t Clock = 0;
+
+  // L1 fast-path view of Levels[0] (null tags when there are no levels).
+  uint64_t *L1Tags = nullptr;
+  uint64_t *L1Stamps = nullptr;
+  uint8_t *L1Mru = nullptr;
+  uint64_t L1SetMask = 0;
+  uint64_t L1Assoc = 0;
+  int L1Shift = 0;
+  int L1Latency = 0;
+  bool HaveLast = false;
+  uint64_t LastLine = 0; ///< L1 line of the previous access
+  uint64_t LastWay = 0;  ///< its index into the L1 tags
 };
 
 } // namespace machine
