@@ -11,6 +11,8 @@
 #include "src/cir/Parser.h"
 #include "src/locus/LocusParser.h"
 
+#include "tests/TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,17 +22,9 @@
 namespace locus {
 namespace {
 
-using namespace search;
+using testutil::TempFile;
 
-/// A scratch file removed on scope exit.
-struct TempFile {
-  std::string Path;
-  explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
-    std::remove(Path.c_str());
-  }
-  ~TempFile() { std::remove(Path.c_str()); }
-};
+using namespace search;
 
 Space smallSpace() {
   Space S;

@@ -22,6 +22,8 @@
 #include "src/transform/Interchange.h"
 #include "src/transform/Tiling.h"
 
+#include "tests/TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -572,7 +574,8 @@ TEST(Pragmas, ReapplyingPragmaIsANoOp) {
 TEST(Altdesc, SnippetFileRequiresOptIn) {
   // A snippet argument that names a real file: without AllowSnippetFiles
   // the text is treated as inline source; with it, the file is read.
-  std::string Path = testing::TempDir() + "/locus_snippet_test.txt";
+  testutil::TempFile Snippet("snippet_test.txt");
+  const std::string &Path = Snippet.Path;
   {
     std::ofstream Out(Path);
     Out << "A[i] = 7.0;";
@@ -613,7 +616,6 @@ int main() {
     ASSERT_TRUE(R.succeeded()) << R.Message;
     EXPECT_NE(printStmt(*Region).find("7.0"), std::string::npos);
   }
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,6 +16,8 @@
 #include "src/locus/LocusParser.h"
 #include "src/workloads/Workloads.h"
 
+#include "tests/TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +26,9 @@
 
 namespace locus {
 namespace {
+
+using testutil::TempFile;
+using testutil::slurp;
 
 using driver::Orchestrator;
 using driver::OrchestratorOptions;
@@ -40,22 +45,6 @@ CodeReg matmul {
   RoseLocus.Tiling(loop="0", factor=tile);
 }
 )";
-
-struct TempFile {
-  std::string Path;
-  explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
-    std::remove(Path.c_str());
-  }
-  ~TempFile() { std::remove(Path.c_str()); }
-};
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
 
 driver::SearchWorkflowResult runDependentRange(const std::string &Searcher,
                                                bool StaticPrune,

@@ -24,10 +24,15 @@
 #include <map>
 #include <sstream>
 
+#include "tests/TestUtil.h"
+
 #include <gtest/gtest.h>
 
 namespace locus {
 namespace {
+
+using testutil::TempFile;
+using testutil::slurp;
 
 using analysis::CandidateVerdict;
 using analysis::DiscoveryReport;
@@ -53,23 +58,6 @@ OrchestratorOptions tinyOptions() {
   Opts.MaxEvaluations = 15;
   Opts.Seed = 5;
   return Opts;
-}
-
-/// A scratch file removed on scope exit.
-struct TempFile {
-  std::string Path;
-  explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
-    std::remove(Path.c_str());
-  }
-  ~TempFile() { std::remove(Path.c_str()); }
-};
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
 }
 
 int countVerdict(const DiscoveryReport &R, CandidateVerdict V) {
