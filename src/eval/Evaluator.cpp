@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <queue>
+#include <type_traits>
 
 namespace locus {
 namespace eval {
@@ -51,6 +53,7 @@ struct CE {
   int64_t ConstInt = 0;
   double ConstDouble = 0;
   int Slot = -1; ///< scalar slot or array id
+  const cir::ArrayRef *Ref = nullptr; ///< source of a load
   std::vector<CE> Kids;
 
   bool isDouble() const {
@@ -71,13 +74,13 @@ struct CE {
   }
 };
 
-enum class SK : uint8_t { Block, For, If, AssignScalar, AssignArray, Nop };
+enum class SK : uint8_t { For, If, AssignScalar, AssignArray };
 
 /// OpenMP schedule kinds recognized on loops.
 enum class Sched : uint8_t { None, Default, Static, Dynamic };
 
 struct CS {
-  SK Kind = SK::Nop;
+  SK Kind = SK::AssignScalar;
 
   // For
   int Slot = -1;
@@ -96,6 +99,7 @@ struct CS {
   // Assign
   cir::AssignOp Op = cir::AssignOp::Set;
   bool TargetDouble = false;
+  const cir::ArrayRef *Ref = nullptr; ///< source of an array target
   std::vector<CE> Indices;
   CE Rhs;
 };
@@ -107,6 +111,105 @@ struct ArrayInfo {
   std::vector<int64_t> Strides;
   int64_t TotalElems = 0;
   uint64_t Base = 0;
+};
+
+//===----------------------------------------------------------------------===//
+// Bytecode
+//===----------------------------------------------------------------------===//
+
+/// One register: an int or a double, as the static type of its producer
+/// says. Registers are the scalar slots, then constants, loop state and
+/// expression temporaries.
+union Val {
+  int64_t I;
+  double D;
+};
+
+/// Opcodes. Expression code is post-order over registers; each integer or
+/// double operation charges exactly what its tree node charged.
+enum class Opc : uint8_t {
+  Halt,
+  Fail, ///< fail with Messages[Aux]
+  Mov,
+  CastID,
+  AddI, SubI, MulI, DivI, ModI, LtI, LeI, GtI, GeI, EqI, NeI, NegI, MinI, MaxI,
+  AddD, SubD, MulD, DivD, NegD, MinD, MaxD, LtD, LeD, GtD, GeD, EqD, NeD,
+  AndJ, ///< R[A] == 0: R[Dst] = 0 and jump to Aux
+  OrJ,  ///< R[A] != 0: R[Dst] = 1 and jump to Aux
+  Bool, ///< R[Dst] = R[A] != 0
+  NotI,
+  Idx0,  ///< bounds-check R[A] as dim B of array Aux; R[Dst] = R[A]*stride
+  IdxN,  ///< the same, accumulating into R[Dst]
+  LoadD, ///< R[Dst] = array Aux [R[A]]
+  LoadI,
+  StoreD, ///< array Aux [R[A]] (Assign)= R[B]
+  StoreI,
+  AffIdx,   ///< R[Dst] = flat index of AffRefs[Aux]
+  LoadAffD, ///< R[Dst] = element of AffRefs[Aux]
+  LoadAffI,
+  AddDM, ///< R[Dst] = R[A] + element of AffRefs[Aux]
+  SubDM,
+  MulDM,
+  DivDM,
+  Jump,       ///< to Aux
+  JumpIfZero, ///< R[A] == 0: to Aux
+  ForInit,    ///< Loops[Aux] from R[A] to R[B]
+  ForNext,
+  VecEnter,
+  VecExit,
+  ParEnter,
+  ParExit,
+};
+
+struct Op {
+  Opc Code = Opc::Halt;
+  cir::AssignOp Assign = cir::AssignOp::Set;
+  int32_t Dst = 0, A = 0, B = 0;
+  int32_t Aux = 0;
+};
+
+struct LoopInfo {
+  int32_t Var = 0; ///< the induction scalar's register
+  int32_t Cur = 0; ///< the iteration value (body writes to Var do not step)
+  int32_t End = 0; ///< exclusive bound, evaluated once
+  int64_t Step = 1;
+  int32_t Body = 0, Exit = 0;
+  /// LoopRefs[FirstRef, FirstRef + NumRefs): the affine references whose
+  /// bounds this loop's entry proves for all its iterations.
+  uint32_t FirstRef = 0, NumRefs = 0;
+  bool Parallel = false; ///< modeled as an OpenMP loop
+  Sched Par = Sched::None;
+  int Chunk = 0;
+  double VecScale = 1.0;
+};
+
+/// An array reference whose subscripts are all affine in at most two int
+/// scalars each: dim K's index is Const + Coeff[0]*R[Reg[0]] +
+/// Coeff[1]*R[Reg[1]] (an unused term reads the constant 0). Index
+/// arithmetic wraps like the tree form's did in practice, without signed
+/// overflow.
+struct AffDim {
+  int64_t Const = 0, Extent = 0, Stride = 0;
+  int64_t Coeff[2] = {0, 0};
+  int32_t Reg[2] = {0, 0};
+};
+struct AffRef {
+  int32_t Array = 0;
+  int32_t NumDims = 0;
+  uint32_t FirstDim = 0;
+  int32_t IntOps = 0; ///< integer operations the subscripts' trees charged
+  /// When the body of the innermost enclosing loop writes none of the
+  /// reference's scalars nor the loop variable, the loop's entry proves the
+  /// reference (see proveBounds) and the flat index is RefState::Base +
+  /// LoopStride * R[LoopVar] throughout.
+  int32_t LoopVar = 0;
+  uint64_t LoopStride = 0; ///< modulo 2^64, like RefState::Base
+};
+
+/// Per affine reference, set at each entry of its loop.
+struct RefState {
+  uint64_t Base = 0; ///< modulo 2^64; exact wherever the index is in bounds
+  bool Safe = false; ///< every iteration of this loop entry is in bounds
 };
 
 struct CompiledProgram {
@@ -125,22 +228,40 @@ struct CompiledProgram {
   std::vector<double> InitScalarD;
   std::vector<int64_t> InitScalarI;
 
-  std::vector<CS> Body;
   std::string CompileError;
   /// Compile-time model notes surfaced on every RunResult (e.g. OpenMP
   /// speedup not modeled because the loop's safety is unproven).
   std::vector<std::string> Warnings;
 
+  // Bytecode.
+  std::vector<Op> Ops;
+  std::vector<LoopInfo> Loops;
+  std::vector<AffRef> AffRefs;
+  std::vector<AffDim> AffDims;
+  std::vector<int32_t> LoopRefs;
+  std::vector<std::string> Messages;
+  std::vector<std::pair<int32_t, Val>> ConstInit;
+  int32_t NumRegs = 0;
+  // Lowering state.
+  std::map<uint64_t, int32_t> ConstRegs;
+  std::vector<bool> IsTemp;
+  std::vector<int32_t> FreeTemps;
+  int32_t CurLoop = -1;
+  std::vector<std::vector<char>> LoopWrites; ///< per loop: slots its body
+                                             ///< assigns
+  std::vector<std::vector<int32_t>> PendingRefs; ///< per loop, while lowering
+
   // ---- execution state ----
-  std::vector<double> ScalarD;
-  std::vector<int64_t> ScalarI;
+  std::vector<Val> Regs;
   std::vector<std::vector<double>> DataD;
   std::vector<std::vector<int64_t>> DataI;
+  std::vector<double *> PtrD;
+  std::vector<int64_t *> PtrI;
+  std::vector<RefState> States; ///< per AffRef
+  std::vector<double> IterCosts; ///< per-iteration cost of the parallel loop
   std::unique_ptr<machine::CacheSim> Cache;
   double Cycles = 0;
-  double ArithScale = 1.0;
   int L1HitLatency = 4;
-  bool InParallel = false;
   uint64_t Iterations = 0;
   uint64_t ArithOps = 0, MemReads = 0, MemWrites = 0;
   bool Failed = false;
@@ -264,6 +385,7 @@ struct CompiledProgram {
       }
       Out.Kind = Info.Elem == ElemType::Double ? EK::LoadD : EK::LoadI;
       Out.Slot = It->second;
+      Out.Ref = A;
       for (const auto &I : A->Indices) {
         CE Idx = compileExpr(*I);
         if (Idx.isDouble()) {
@@ -578,6 +700,7 @@ struct CompiledProgram {
         }
         C.Kind = SK::AssignArray;
         C.Slot = It->second;
+        C.Ref = Arr;
         C.TargetDouble = Info.Elem == ElemType::Double;
         for (const auto &I : Arr->Indices) {
           CE Idx = compileExpr(*I);
@@ -632,244 +755,509 @@ struct CompiledProgram {
     std::vector<CS> MainBody;
     for (const auto &S : P.Body->Stmts)
       compileStmt(*S, MainBody);
-    Body = std::move(GlobalInit);
+    std::vector<CS> Tree = std::move(GlobalInit);
     for (auto &S : MainBody)
-      Body.push_back(std::move(S));
+      Tree.push_back(std::move(S));
     if (!CompileError.empty())
       return Status::error(CompileError);
     buildInitialData();
     L1HitLatency =
         Opts.Machine.Levels.empty() ? 0 : Opts.Machine.Levels[0].HitLatency;
+    lower(Tree);
     return Status::success();
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Lowering to bytecode
+  //===--------------------------------------------------------------------===//
+
+  int32_t newReg() {
+    IsTemp.push_back(false);
+    return NumRegs++;
+  }
+
+  int32_t temp() {
+    if (!FreeTemps.empty()) {
+      int32_t R = FreeTemps.back();
+      FreeTemps.pop_back();
+      return R;
+    }
+    int32_t R = newReg();
+    IsTemp[static_cast<size_t>(R)] = true;
+    return R;
+  }
+
+  void release(int32_t R) {
+    if (R >= 0 && IsTemp[static_cast<size_t>(R)])
+      FreeTemps.push_back(R);
+  }
+
+  int32_t constReg(Val V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof(Bits));
+    auto [It, New] = ConstRegs.try_emplace(Bits, 0);
+    if (New) {
+      It->second = newReg();
+      ConstInit.push_back({It->second, V});
+    }
+    return It->second;
+  }
+  int32_t intConst(int64_t X) { return constReg(Val{.I = X}); }
+  int32_t dblConst(double X) { return constReg(Val{.D = X}); }
+
+  size_t emit(Opc Code, int32_t Dst = 0, int32_t A = 0, int32_t B = 0,
+              int32_t Aux = 0) {
+    Ops.push_back(Op{Code, AssignOp::Set, Dst, A, B, Aux});
+    return Ops.size() - 1;
+  }
+
+  int32_t pc() const { return static_cast<int32_t>(Ops.size()); }
+
+  void emitFail(const std::string &Message) {
+    emit(Opc::Fail, 0, 0, 0, static_cast<int32_t>(Messages.size()));
+    Messages.push_back(Message);
+  }
+
+  /// The integer operations the tree form charges while evaluating \p E.
+  static int countIntOps(const CE &E) {
+    int N = 0;
+    for (const CE &K : E.Kids)
+      N += countIntOps(K);
+    switch (E.Kind) {
+    case EK::BinI:
+      return N + (E.Op == BinOp::And || E.Op == BinOp::Or ? 0 : 1);
+    case EK::NegI:
+    case EK::MinI:
+    case EK::MaxI:
+      return N + 1;
+    default:
+      return N;
+    }
+  }
+
+  /// Fuses the subscripts of \p Src into one affine reference when every
+  /// subscript is affine in at most two int scalars; returns its index or
+  /// -1.
+  int32_t affineRef(int ArrayId, const ArrayRef &Src,
+                    const std::vector<CE> &Indices) {
+    const ArrayInfo &A = Arrays[static_cast<size_t>(ArrayId)];
+    AffRef Ref;
+    Ref.Array = ArrayId;
+    Ref.NumDims = static_cast<int32_t>(A.Dims.size());
+    Ref.FirstDim = static_cast<uint32_t>(AffDims.size());
+    std::vector<AffDim> Dims;
+    for (size_t I = 0; I < Src.Indices.size(); ++I) {
+      std::optional<analysis::AffineExpr> Aff = analysis::toAffine(*Src.Indices[I]);
+      if (!Aff || Aff->coeffs().size() > 2)
+        return -1;
+      AffDim D;
+      D.Const = Aff->constant();
+      D.Extent = A.Dims[I];
+      D.Stride = A.Strides[I];
+      D.Reg[0] = D.Reg[1] = intConst(0);
+      int T = 0;
+      for (const auto &[Name, Coeff] : Aff->coeffs()) {
+        auto It = ScalarSlots.find(Name);
+        if (It == ScalarSlots.end() ||
+            SlotTypes[static_cast<size_t>(It->second)] != ElemType::Int)
+          return -1;
+        D.Reg[T] = It->second;
+        D.Coeff[T++] = Coeff;
+      }
+      Dims.push_back(D);
+      Ref.IntOps += countIntOps(Indices[I]);
+    }
+    int32_t Id = static_cast<int32_t>(AffRefs.size());
+    if (CurLoop >= 0) {
+      const LoopInfo &L = Loops[static_cast<size_t>(CurLoop)];
+      const std::vector<char> &W = LoopWrites[static_cast<size_t>(CurLoop)];
+      bool Invariant = !W[static_cast<size_t>(L.Var)];
+      for (const AffDim &D : Dims)
+        for (int T = 0; T < 2; ++T) {
+          if (D.Coeff[T] == 0)
+            continue;
+          if (D.Reg[T] == L.Var)
+            Ref.LoopStride += static_cast<uint64_t>(D.Coeff[T]) *
+                              static_cast<uint64_t>(D.Stride);
+          else if (W[static_cast<size_t>(D.Reg[T])])
+            Invariant = false;
+        }
+      if (Invariant) {
+        Ref.LoopVar = L.Var;
+        PendingRefs[static_cast<size_t>(CurLoop)].push_back(Id);
+      }
+    }
+    AffDims.insert(AffDims.end(), Dims.begin(), Dims.end());
+    AffRefs.push_back(Ref);
+    return Id;
+  }
+
+  static void collectWrites(const std::vector<CS> &Body, std::vector<char> &W) {
+    for (const CS &S : Body) {
+      if (S.Kind == SK::AssignScalar || S.Kind == SK::For)
+        W[static_cast<size_t>(S.Slot)] = 1;
+      collectWrites(S.Body, W);
+      collectWrites(S.Else, W);
+    }
+  }
+
+  /// Generic addressing: each subscript's code, then its bounds check.
+  int32_t lowerIndex(int ArrayId, const std::vector<CE> &Indices) {
+    int32_t Flat = temp();
+    for (size_t I = 0; I < Indices.size(); ++I) {
+      int32_t R = lowerExpr(Indices[I]);
+      emit(I == 0 ? Opc::Idx0 : Opc::IdxN, Flat, R, static_cast<int32_t>(I),
+           ArrayId);
+      release(R);
+    }
+    return Flat;
+  }
+
+  static Opc intOpcode(BinOp Op) {
+    switch (Op) {
+    case BinOp::Add: return Opc::AddI;
+    case BinOp::Sub: return Opc::SubI;
+    case BinOp::Mul: return Opc::MulI;
+    case BinOp::Div: return Opc::DivI;
+    case BinOp::Mod: return Opc::ModI;
+    case BinOp::Lt: return Opc::LtI;
+    case BinOp::Le: return Opc::LeI;
+    case BinOp::Gt: return Opc::GtI;
+    case BinOp::Ge: return Opc::GeI;
+    case BinOp::Eq: return Opc::EqI;
+    default: return Opc::NeI;
+    }
+  }
+
+  static Opc dblOpcode(BinOp Op) {
+    switch (Op) {
+    case BinOp::Add: return Opc::AddD;
+    case BinOp::Sub: return Opc::SubD;
+    case BinOp::Mul: return Opc::MulD;
+    case BinOp::Div: return Opc::DivD;
+    case BinOp::Lt: return Opc::LtD;
+    case BinOp::Le: return Opc::LeD;
+    case BinOp::Gt: return Opc::GtD;
+    case BinOp::Ge: return Opc::GeD;
+    case BinOp::Eq: return Opc::EqD;
+    default: return Opc::NeD;
+    }
+  }
+
+  /// Emits \p Code over the lowered kids of \p E into \p Dst (a temp when
+  /// -1); kids are evaluated left to right, as the tree form did.
+  int32_t lowerOp(Opc Code, const CE &E, int32_t Dst) {
+    int32_t A = lowerExpr(E.Kids[0]);
+    int32_t B = E.Kids.size() > 1 ? lowerExpr(E.Kids[1]) : A;
+    release(A);
+    if (B != A)
+      release(B);
+    if (Dst < 0)
+      Dst = temp();
+    emit(Code, Dst, A, B);
+    return Dst;
+  }
+
+  /// Lowers \p E; returns the register holding its value. A constant or a
+  /// scalar needs no code. \p Dst, when set, receives the value of an
+  /// operation (the caller moves it there otherwise).
+  int32_t lowerExpr(const CE &E, int32_t Dst = -1) {
+    switch (E.Kind) {
+    case EK::ConstI:
+      return intConst(E.ConstInt);
+    case EK::ConstD:
+      return dblConst(E.ConstDouble);
+    case EK::Rtclock:
+      return dblConst(0.0);
+    case EK::VarI:
+    case EK::VarD:
+      return E.Slot;
+    case EK::LoadI:
+    case EK::LoadD: {
+      bool D = E.Kind == EK::LoadD;
+      int32_t Ref = affineRef(E.Slot, *E.Ref, E.Kids);
+      if (Ref >= 0) {
+        if (Dst < 0)
+          Dst = temp();
+        emit(D ? Opc::LoadAffD : Opc::LoadAffI, Dst, 0, 0, Ref);
+        return Dst;
+      }
+      int32_t Flat = lowerIndex(E.Slot, E.Kids);
+      release(Flat);
+      if (Dst < 0)
+        Dst = temp();
+      emit(D ? Opc::LoadD : Opc::LoadI, Dst, Flat, 0, E.Slot);
+      return Dst;
+    }
+    case EK::BinI:
+      if (E.Op == BinOp::And || E.Op == BinOp::Or) {
+        // Short circuit: the right operand runs only when the left one
+        // does not decide the result.
+        int32_t L = lowerExpr(E.Kids[0]);
+        release(L);
+        int32_t Out = temp();
+        size_t Jump = emit(E.Op == BinOp::And ? Opc::AndJ : Opc::OrJ, Out, L);
+        int32_t R = lowerExpr(E.Kids[1]);
+        emit(Opc::Bool, Out, R);
+        release(R);
+        Ops[Jump].Aux = pc();
+        return Out;
+      }
+      return lowerOp(intOpcode(E.Op), E, Dst);
+    case EK::BinD:
+      if (E.Kids[1].Kind == EK::LoadD) {
+        // Fused load: an affine right operand is read by the operation.
+        int32_t Ref = affineRef(E.Kids[1].Slot, *E.Kids[1].Ref, E.Kids[1].Kids);
+        if (Ref >= 0) {
+          int32_t A = lowerExpr(E.Kids[0]);
+          release(A);
+          if (Dst < 0)
+            Dst = temp();
+          Opc Code = E.Op == BinOp::Add   ? Opc::AddDM
+                     : E.Op == BinOp::Sub ? Opc::SubDM
+                     : E.Op == BinOp::Mul ? Opc::MulDM
+                                          : Opc::DivDM;
+          emit(Code, Dst, A, 0, Ref);
+          return Dst;
+        }
+      }
+      return lowerOp(dblOpcode(E.Op), E, Dst);
+    case EK::CmpD:
+      return lowerOp(dblOpcode(E.Op), E, Dst);
+    case EK::NegI:
+      return lowerOp(Opc::NegI, E, Dst);
+    case EK::NegD:
+      return lowerOp(Opc::NegD, E, Dst);
+    case EK::NotI:
+      return lowerOp(Opc::NotI, E, Dst);
+    case EK::CastID:
+      return lowerOp(Opc::CastID, E, Dst);
+    case EK::MinI:
+      return lowerOp(Opc::MinI, E, Dst);
+    case EK::MaxI:
+      return lowerOp(Opc::MaxI, E, Dst);
+    case EK::MinD:
+      return lowerOp(Opc::MinD, E, Dst);
+    case EK::MaxD:
+      return lowerOp(Opc::MaxD, E, Dst);
+    }
+    return 0;
+  }
+
+  /// Lowers \p E in a double context (an int value converts).
+  int32_t lowerDouble(const CE &E, int32_t Dst = -1) {
+    if (E.isDouble())
+      return lowerExpr(E, Dst);
+    int32_t R = lowerExpr(E);
+    release(R);
+    if (Dst < 0)
+      Dst = temp();
+    emit(Opc::CastID, Dst, R);
+    return Dst;
+  }
+
+  void lowerBlock(const std::vector<CS> &Stmts, bool InParallel) {
+    for (const CS &S : Stmts)
+      lowerStmt(S, InParallel);
+  }
+
+  void lowerStmt(const CS &S, bool InParallel) {
+    switch (S.Kind) {
+    case SK::If: {
+      int32_t C = lowerExpr(S.Cond);
+      release(C);
+      size_t ToElse = emit(Opc::JumpIfZero, 0, C);
+      lowerBlock(S.Body, InParallel);
+      if (S.Else.empty()) {
+        Ops[ToElse].Aux = pc();
+        return;
+      }
+      size_t ToEnd = emit(Opc::Jump);
+      Ops[ToElse].Aux = pc();
+      lowerBlock(S.Else, InParallel);
+      Ops[ToEnd].Aux = pc();
+      return;
+    }
+    case SK::AssignScalar: {
+      bool D = S.TargetDouble;
+      if (!D && S.Rhs.isDouble()) {
+        emitFail("assigning a floating value to int scalar");
+        return;
+      }
+      if (S.Op == AssignOp::Set) {
+        int32_t R = D ? lowerDouble(S.Rhs, S.Slot) : lowerExpr(S.Rhs, S.Slot);
+        if (R != S.Slot)
+          emit(Opc::Mov, S.Slot, R);
+        release(R);
+        return;
+      }
+      // Compound: one charged operation on the slot itself.
+      int32_t R = D ? lowerDouble(S.Rhs) : lowerExpr(S.Rhs);
+      release(R);
+      Opc Code = S.Op == AssignOp::Add ? (D ? Opc::AddD : Opc::AddI)
+                 : S.Op == AssignOp::Sub ? (D ? Opc::SubD : Opc::SubI)
+                                         : (D ? Opc::MulD : Opc::MulI);
+      emit(Code, S.Slot, S.Slot, R);
+      return;
+    }
+    case SK::AssignArray: {
+      // The target is addressed (and bounds-checked) before the right-hand
+      // side runs, as the tree form did.
+      bool D = S.TargetDouble;
+      int32_t Ref = affineRef(S.Slot, *S.Ref, S.Indices);
+      int32_t Flat;
+      if (Ref >= 0) {
+        Flat = temp();
+        emit(Opc::AffIdx, Flat, 0, 0, Ref);
+      } else {
+        Flat = lowerIndex(S.Slot, S.Indices);
+      }
+      if (!D && S.Rhs.isDouble()) {
+        emitFail("assigning a floating value to int array");
+      } else {
+        int32_t R = D ? lowerDouble(S.Rhs) : lowerExpr(S.Rhs);
+        size_t Store = emit(D ? Opc::StoreD : Opc::StoreI, 0, Flat, R, S.Slot);
+        Ops[Store].Assign = S.Op;
+        release(R);
+      }
+      release(Flat);
+      return;
+    }
+    case SK::For: {
+      LoopInfo L;
+      L.Var = S.Slot;
+      L.Cur = newReg();
+      L.End = newReg();
+      L.Step = S.Step;
+      L.Parallel = S.Par != Sched::None && Opts.CountCost && !InParallel;
+      L.Par = S.Par;
+      L.Chunk = S.Chunk;
+      L.VecScale = S.VecScale;
+      bool Vector = S.VecScale < 1.0 && Opts.CountCost;
+      int32_t Lo = lowerExpr(S.Init);
+      int32_t Hi = lowerExpr(S.BoundExcl);
+      release(Lo);
+      release(Hi);
+      int32_t Id = static_cast<int32_t>(Loops.size());
+      Loops.push_back(L);
+      LoopWrites.emplace_back(SlotTypes.size(), 0);
+      collectWrites(S.Body, LoopWrites.back());
+      PendingRefs.emplace_back();
+      if (Vector)
+        emit(Opc::VecEnter, 0, 0, 0, Id);
+      if (L.Parallel)
+        emit(Opc::ParEnter, 0, 0, 0, Id);
+      emit(Opc::ForInit, 0, Lo, Hi, Id);
+      int32_t Body = pc();
+      int32_t Outer = CurLoop;
+      CurLoop = Id;
+      lowerBlock(S.Body, InParallel || L.Parallel);
+      CurLoop = Outer;
+      emit(Opc::ForNext, 0, 0, 0, Id);
+      LoopInfo &Done = Loops[static_cast<size_t>(Id)];
+      Done.Body = Body;
+      Done.Exit = pc();
+      std::vector<int32_t> &Refs = PendingRefs[static_cast<size_t>(Id)];
+      Done.FirstRef = static_cast<uint32_t>(LoopRefs.size());
+      Done.NumRefs = static_cast<uint32_t>(Refs.size());
+      LoopRefs.insert(LoopRefs.end(), Refs.begin(), Refs.end());
+      if (Vector)
+        emit(Opc::VecExit, 0, 0, 0, Id);
+      if (L.Parallel)
+        emit(Opc::ParExit, 0, 0, 0, Id);
+      return;
+    }
+    }
+  }
+
+  /// Lowers the compiled tree to bytecode. Registers: the scalar slots
+  /// first, then constants, loop state and expression temporaries.
+  void lower(const std::vector<CS> &Tree) {
+    NumRegs = 0;
+    for (size_t I = 0; I < SlotTypes.size(); ++I)
+      newReg();
+    lowerBlock(Tree, /*InParallel=*/false);
+    emit(Opc::Halt);
   }
 
   //===--------------------------------------------------------------------===//
   // Execution
   //===--------------------------------------------------------------------===//
 
-  void runtimeFail(const std::string &Message) {
-    if (!Failed) {
-      Failed = true;
-      RunError = Message;
+  static std::string boundsMessage(const ArrayInfo &A, size_t Dim, int64_t Idx) {
+    return "index " + std::to_string(Idx) + " out of bounds for " + A.Name +
+           " dim " + std::to_string(Dim) + " (size " +
+           std::to_string(A.Dims[Dim]) + ")";
+  }
+
+  static int64_t dimIndex(const AffDim &D, const Val *R) {
+    uint64_t Idx = static_cast<uint64_t>(D.Const) +
+                   static_cast<uint64_t>(D.Coeff[0]) *
+                       static_cast<uint64_t>(R[D.Reg[0]].I) +
+                   static_cast<uint64_t>(D.Coeff[1]) *
+                       static_cast<uint64_t>(R[D.Reg[1]].I);
+    return static_cast<int64_t>(Idx);
+  }
+
+  /// The flat index of an affine reference; false when a subscript is out
+  /// of bounds (affineError names the first such subscript).
+  [[gnu::always_inline]] bool affineIndex(const AffRef &Ref, const Val *R,
+                                          int64_t &Flat) const {
+    const AffDim *D = &AffDims[Ref.FirstDim];
+    int64_t F = 0;
+    for (int32_t K = 0; K < Ref.NumDims; ++K) {
+      int64_t Idx = dimIndex(D[K], R);
+      if (static_cast<uint64_t>(Idx) >= static_cast<uint64_t>(D[K].Extent))
+        return false;
+      F += Idx * D[K].Stride; // in bounds: no overflow
     }
+    Flat = F;
+    return true;
   }
 
-  int64_t flatIndex(const CS &S) {
-    const ArrayInfo &A = Arrays[static_cast<size_t>(S.Slot)];
-    int64_t Flat = 0;
-    for (size_t I = 0; I < S.Indices.size(); ++I) {
-      int64_t Idx = evalI(S.Indices[I]);
-      if (Idx < 0 || Idx >= A.Dims[I]) {
-        runtimeFail("index " + std::to_string(Idx) + " out of bounds for " +
-                    A.Name + " dim " + std::to_string(I) + " (size " +
-                    std::to_string(A.Dims[I]) + ")");
-        return 0;
-      }
-      Flat += Idx * A.Strides[I];
+  /// The bounds error of the first out-of-bounds subscript of \p Ref.
+  std::string affineError(const AffRef &Ref, const Val *R) const {
+    const AffDim *D = &AffDims[Ref.FirstDim];
+    for (int32_t K = 0; K < Ref.NumDims; ++K) {
+      int64_t Idx = dimIndex(D[K], R);
+      if (Idx < 0 || Idx >= D[K].Extent)
+        return boundsMessage(Arrays[static_cast<size_t>(Ref.Array)],
+                             static_cast<size_t>(K), Idx);
     }
-    return Flat;
+    return std::string();
   }
 
-  int64_t flatIndexCE(const CE &E) {
-    const ArrayInfo &A = Arrays[static_cast<size_t>(E.Slot)];
-    int64_t Flat = 0;
-    for (size_t I = 0; I < E.Kids.size(); ++I) {
-      int64_t Idx = evalI(E.Kids[I]);
-      if (Idx < 0 || Idx >= A.Dims[I]) {
-        runtimeFail("index " + std::to_string(Idx) + " out of bounds for " +
-                    A.Name + " dim " + std::to_string(I) + " (size " +
-                    std::to_string(A.Dims[I]) + ")");
-        return 0;
-      }
-      Flat += Idx * A.Strides[I];
-    }
-    return Flat;
-  }
-
-  void chargeMemory(int ArrayId, int64_t Flat, bool IsWrite) {
-    if (IsWrite)
-      ++MemWrites;
-    else
-      ++MemReads;
-    if (!Cache)
-      return;
-    const ArrayInfo &A = Arrays[static_cast<size_t>(ArrayId)];
-    uint64_t Address = A.Base + static_cast<uint64_t>(Flat) * 8;
-    int Latency = Cache->access(Address, IsWrite);
-    // Vectorization hides latency only for cache-resident data.
-    if (Latency <= L1HitLatency)
-      Cycles += Latency * ArithScale;
-    else
-      Cycles += Latency;
-  }
-
-  void chargeArith(bool IsDouble) {
-    if (IsDouble)
-      ++ArithOps;
-    if (Cache) // CountCost proxy: Cache is only created when counting
-      Cycles += (IsDouble ? Opts.Machine.ArithCost
-                          : Opts.Machine.ArithCost * 0.5) *
-                ArithScale;
-  }
-
-  int64_t evalI(const CE &E) {
-    switch (E.Kind) {
-    case EK::ConstI:
-      return E.ConstInt;
-    case EK::VarI:
-      return ScalarI[static_cast<size_t>(E.Slot)];
-    case EK::LoadI: {
-      int64_t Flat = flatIndexCE(E);
-      if (Failed)
-        return 0;
-      chargeMemory(E.Slot, Flat, /*IsWrite=*/false);
-      return DataI[static_cast<size_t>(E.Slot)][static_cast<size_t>(Flat)];
-    }
-    case EK::BinI: {
-      // Short-circuit logic first.
-      if (E.Op == BinOp::And) {
-        if (evalI(E.Kids[0]) == 0)
-          return 0;
-        return evalI(E.Kids[1]) != 0;
-      }
-      if (E.Op == BinOp::Or) {
-        if (evalI(E.Kids[0]) != 0)
-          return 1;
-        return evalI(E.Kids[1]) != 0;
-      }
-      int64_t L = evalI(E.Kids[0]);
-      int64_t R = evalI(E.Kids[1]);
-      chargeArith(false);
-      switch (E.Op) {
-      case BinOp::Add:
-        return L + R;
-      case BinOp::Sub:
-        return L - R;
-      case BinOp::Mul:
-        return L * R;
-      case BinOp::Div:
-        if (R == 0) {
-          runtimeFail("integer division by zero");
-          return 0;
+  /// On entry to loop \p L, iterating from \p Lo below \p Hi: for each of
+  /// its affine references, the flat index at LoopVar = 0 and whether every
+  /// iteration stays in bounds. Each subscript is affine in the loop
+  /// variable with the other scalars fixed, so checking the first and last
+  /// iteration covers them all. The check runs in 128 bits, so no
+  /// subscript that would overflow is taken as proven.
+  void proveBounds(const LoopInfo &L, int64_t Lo, int64_t Hi) {
+    using Wide = __int128;
+    const Val *R = Regs.data();
+    bool Finite = L.Step > 0;
+    Wide Last = Finite ? Lo + (Wide(Hi) - 1 - Lo) / L.Step * L.Step : Lo;
+    for (uint32_t I = L.FirstRef; I < L.FirstRef + L.NumRefs; ++I) {
+      size_t Id = static_cast<size_t>(LoopRefs[I]);
+      const AffRef &Ref = AffRefs[Id];
+      const AffDim *D = &AffDims[Ref.FirstDim];
+      uint64_t Base = 0;
+      bool Safe = Finite;
+      for (int32_t K = 0; K < Ref.NumDims; ++K) {
+        Wide Fixed = D[K].Const, Coeff = 0;
+        for (int T = 0; T < 2; ++T) {
+          if (D[K].Reg[T] == L.Var)
+            Coeff += D[K].Coeff[T];
+          else
+            Fixed += Wide(D[K].Coeff[T]) * R[D[K].Reg[T]].I;
         }
-        return L / R;
-      case BinOp::Mod:
-        if (R == 0) {
-          runtimeFail("integer modulo by zero");
-          return 0;
-        }
-        return L % R;
-      case BinOp::Lt:
-        return L < R;
-      case BinOp::Le:
-        return L <= R;
-      case BinOp::Gt:
-        return L > R;
-      case BinOp::Ge:
-        return L >= R;
-      case BinOp::Eq:
-        return L == R;
-      case BinOp::Ne:
-        return L != R;
-      default:
-        return 0;
+        Wide First = Fixed + Coeff * Lo, End = Fixed + Coeff * Last;
+        if (First < 0 || First >= D[K].Extent || End < 0 || End >= D[K].Extent)
+          Safe = false;
+        Base += static_cast<uint64_t>(Fixed) * static_cast<uint64_t>(D[K].Stride);
       }
-    }
-    case EK::CmpD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      switch (E.Op) {
-      case BinOp::Lt:
-        return L < R;
-      case BinOp::Le:
-        return L <= R;
-      case BinOp::Gt:
-        return L > R;
-      case BinOp::Ge:
-        return L >= R;
-      case BinOp::Eq:
-        return L == R;
-      case BinOp::Ne:
-        return L != R;
-      default:
-        return 0;
-      }
-    }
-    case EK::NegI:
-      chargeArith(false);
-      return -evalI(E.Kids[0]);
-    case EK::NotI:
-      return evalI(E.Kids[0]) == 0;
-    case EK::MinI: {
-      int64_t L = evalI(E.Kids[0]);
-      int64_t R = evalI(E.Kids[1]);
-      chargeArith(false);
-      return std::min(L, R);
-    }
-    case EK::MaxI: {
-      int64_t L = evalI(E.Kids[0]);
-      int64_t R = evalI(E.Kids[1]);
-      chargeArith(false);
-      return std::max(L, R);
-    }
-    default:
-      runtimeFail("internal: double expression in int context");
-      return 0;
-    }
-  }
-
-  double evalD(const CE &E) {
-    switch (E.Kind) {
-    case EK::ConstD:
-      return E.ConstDouble;
-    case EK::VarD:
-      return ScalarD[static_cast<size_t>(E.Slot)];
-    case EK::LoadD: {
-      int64_t Flat = flatIndexCE(E);
-      if (Failed)
-        return 0;
-      chargeMemory(E.Slot, Flat, /*IsWrite=*/false);
-      return DataD[static_cast<size_t>(E.Slot)][static_cast<size_t>(Flat)];
-    }
-    case EK::BinD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      switch (E.Op) {
-      case BinOp::Add:
-        return L + R;
-      case BinOp::Sub:
-        return L - R;
-      case BinOp::Mul:
-        return L * R;
-      case BinOp::Div:
-        return L / R;
-      default:
-        return 0;
-      }
-    }
-    case EK::NegD:
-      chargeArith(true);
-      return -evalD(E.Kids[0]);
-    case EK::CastID:
-      return static_cast<double>(evalI(E.Kids[0]));
-    case EK::MinD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      return std::min(L, R);
-    }
-    case EK::MaxD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      return std::max(L, R);
-    }
-    case EK::Rtclock:
-      return 0.0;
-    default:
-      return static_cast<double>(evalI(E));
+      States[Id] = RefState{Base, Safe};
     }
   }
 
@@ -927,213 +1315,356 @@ struct CompiledProgram {
     return Max;
   }
 
-  void execBlock(const std::vector<CS> &Stmts) {
-    for (const CS &S : Stmts) {
-      if (Failed)
-        return;
-      execStmt(S);
-    }
+  /// Runs the bytecode. Cost accounting is compiled in or out; either way
+  /// every charge is the addition the tree form made, in the same order.
+  template <bool Cost> void exec() {
+    Val *R = Regs.data();
+    const Op *Code = Ops.data();
+    const machine::MachineConfig &M = Opts.Machine;
+    double Cyc = 0, Scale = 1.0, SavedScale = 1.0;
+    double CostD = 0, CostI = 0, LoopCost = 0;
+    auto rescale = [&] {
+      CostD = M.ArithCost * Scale;
+      CostI = M.ArithCost * 0.5 * Scale;
+      LoopCost = M.LoopOverhead * Scale;
+    };
+    rescale();
+    double ParStart = 0, Mark = 0;
+    uint64_t Iters = 0, Arith = 0, Reads = 0, Writes = 0;
+    const uint64_t MaxIters = Opts.MaxIterations;
+    machine::CacheSim *Sim = Cache.get();
+    const int L1Latency = L1HitLatency;
+
+    auto memory = [&](int32_t ArrayId, int64_t Flat,
+                      bool IsWrite) __attribute__((always_inline)) {
+      ++(IsWrite ? Writes : Reads);
+      if constexpr (Cost) {
+        int Latency = Sim->access(
+            Arrays[static_cast<size_t>(ArrayId)].Base +
+                static_cast<uint64_t>(Flat) * 8,
+            IsWrite);
+        // Vectorization hides latency only for cache-resident data.
+        if (Latency <= L1Latency)
+          Cyc += Latency * Scale;
+        else
+          Cyc += Latency;
+      }
+    };
+    auto chargeI = [&] {
+      if constexpr (Cost)
+        Cyc += CostI;
+    };
+    auto chargeD = [&] {
+      ++Arith;
+      if constexpr (Cost)
+        Cyc += CostD;
+    };
+    // An affine load: its subscripts' integer operations, then the read.
+    auto loadAff = [&](auto &Ptrs, const AffRef &Ref,
+                       int64_t Flat) __attribute__((always_inline)) {
+      for (int32_t N = 0; N < Ref.IntOps; ++N)
+        chargeI();
+      memory(Ref.Array, Flat, /*IsWrite=*/false);
+      return Ptrs[static_cast<size_t>(Ref.Array)][Flat];
+    };
+    // Compound assignment reads the element first: one read and one
+    // charged operation before the write.
+    auto storeElem = [&](int32_t ArrayId, int64_t Flat, auto &Ptrs, auto V,
+                         AssignOp Assign) __attribute__((always_inline)) {
+      auto &Elem = Ptrs[static_cast<size_t>(ArrayId)][Flat];
+      if (Assign != AssignOp::Set) {
+        memory(ArrayId, Flat, /*IsWrite=*/false);
+        if constexpr (std::is_same_v<decltype(V), double>)
+          chargeD();
+        else
+          chargeI();
+      }
+      switch (Assign) {
+      case AssignOp::Set:
+        Elem = V;
+        break;
+      case AssignOp::Add:
+        Elem += V;
+        break;
+      case AssignOp::Sub:
+        Elem -= V;
+        break;
+      case AssignOp::Mul:
+        Elem *= V;
+        break;
+      }
+      memory(ArrayId, Flat, /*IsWrite=*/true);
+    };
+
+    size_t Pc = 0;
+    std::string Error;
+    for (;;) {
+      const Op &O = Code[Pc++];
+      switch (O.Code) {
+      case Opc::Halt:
+        goto Done;
+      case Opc::Fail:
+        Error = Messages[static_cast<size_t>(O.Aux)];
+        goto Failure;
+      case Opc::Mov:
+        R[O.Dst] = R[O.A];
+        break;
+      case Opc::CastID:
+        R[O.Dst].D = static_cast<double>(R[O.A].I);
+        break;
+
+#define LOCUS_INT_OP(NAME, EXPR)                                               \
+  case Opc::NAME: {                                                            \
+    int64_t L = R[O.A].I, Rv = R[O.B].I;                                       \
+    (void)Rv;                                                                  \
+    chargeI();                                                                 \
+    R[O.Dst].I = (EXPR);                                                       \
+    break;                                                                     \
   }
-
-  void execStmt(const CS &S) {
-    switch (S.Kind) {
-    case SK::Nop:
-      return;
-    case SK::Block:
-      execBlock(S.Body);
-      return;
-    case SK::If:
-      if (evalI(S.Cond) != 0)
-        execBlock(S.Body);
-      else
-        execBlock(S.Else);
-      return;
-    case SK::AssignScalar: {
-      if (S.TargetDouble) {
-        double V = evalD(S.Rhs);
-        double &Slot = ScalarD[static_cast<size_t>(S.Slot)];
-        switch (S.Op) {
-        case AssignOp::Set:
-          Slot = V;
-          break;
-        case AssignOp::Add:
-          chargeArith(true);
-          Slot += V;
-          break;
-        case AssignOp::Sub:
-          chargeArith(true);
-          Slot -= V;
-          break;
-        case AssignOp::Mul:
-          chargeArith(true);
-          Slot *= V;
-          break;
+        LOCUS_INT_OP(AddI, L + Rv)
+        LOCUS_INT_OP(SubI, L - Rv)
+        LOCUS_INT_OP(MulI, L * Rv)
+        LOCUS_INT_OP(LtI, L < Rv)
+        LOCUS_INT_OP(LeI, L <= Rv)
+        LOCUS_INT_OP(GtI, L > Rv)
+        LOCUS_INT_OP(GeI, L >= Rv)
+        LOCUS_INT_OP(EqI, L == Rv)
+        LOCUS_INT_OP(NeI, L != Rv)
+        LOCUS_INT_OP(NegI, -L)
+        LOCUS_INT_OP(MinI, std::min(L, Rv))
+        LOCUS_INT_OP(MaxI, std::max(L, Rv))
+#undef LOCUS_INT_OP
+      case Opc::DivI:
+      case Opc::ModI: {
+        int64_t L = R[O.A].I, Rv = R[O.B].I;
+        chargeI();
+        if (Rv == 0) {
+          Error = O.Code == Opc::DivI ? "integer division by zero"
+                                      : "integer modulo by zero";
+          goto Failure;
         }
-      } else {
-        if (S.Rhs.isDouble()) {
-          runtimeFail("assigning a floating value to int scalar");
-          return;
-        }
-        int64_t V = evalI(S.Rhs);
-        int64_t &Slot = ScalarI[static_cast<size_t>(S.Slot)];
-        switch (S.Op) {
-        case AssignOp::Set:
-          Slot = V;
-          break;
-        case AssignOp::Add:
-          chargeArith(false);
-          Slot += V;
-          break;
-        case AssignOp::Sub:
-          chargeArith(false);
-          Slot -= V;
-          break;
-        case AssignOp::Mul:
-          chargeArith(false);
-          Slot *= V;
-          break;
-        }
-      }
-      return;
-    }
-    case SK::AssignArray: {
-      int64_t Flat = flatIndex(S);
-      if (Failed)
-        return;
-      if (S.TargetDouble) {
-        double V = evalD(S.Rhs);
-        if (Failed)
-          return;
-        double &Elem =
-            DataD[static_cast<size_t>(S.Slot)][static_cast<size_t>(Flat)];
-        if (S.Op != AssignOp::Set) {
-          chargeMemory(S.Slot, Flat, /*IsWrite=*/false);
-          chargeArith(true);
-        }
-        switch (S.Op) {
-        case AssignOp::Set:
-          Elem = V;
-          break;
-        case AssignOp::Add:
-          Elem += V;
-          break;
-        case AssignOp::Sub:
-          Elem -= V;
-          break;
-        case AssignOp::Mul:
-          Elem *= V;
-          break;
-        }
-        chargeMemory(S.Slot, Flat, /*IsWrite=*/true);
-      } else {
-        if (S.Rhs.isDouble()) {
-          runtimeFail("assigning a floating value to int array");
-          return;
-        }
-        int64_t V = evalI(S.Rhs);
-        if (Failed)
-          return;
-        int64_t &Elem =
-            DataI[static_cast<size_t>(S.Slot)][static_cast<size_t>(Flat)];
-        if (S.Op != AssignOp::Set) {
-          chargeMemory(S.Slot, Flat, /*IsWrite=*/false);
-          chargeArith(false);
-        }
-        switch (S.Op) {
-        case AssignOp::Set:
-          Elem = V;
-          break;
-        case AssignOp::Add:
-          Elem += V;
-          break;
-        case AssignOp::Sub:
-          Elem -= V;
-          break;
-        case AssignOp::Mul:
-          Elem *= V;
-          break;
-        }
-        chargeMemory(S.Slot, Flat, /*IsWrite=*/true);
-      }
-      return;
-    }
-    case SK::For: {
-      int64_t Lo = evalI(S.Init);
-      int64_t Hi = evalI(S.BoundExcl);
-      if (Failed)
-        return;
-      bool Parallel = S.Par != Sched::None && Cache && !InParallel;
-      bool Vector = S.VecScale < 1.0 && Cache;
-      double SavedScale = ArithScale;
-      if (Vector)
-        ArithScale *= S.VecScale;
-
-      if (!Parallel) {
-        for (int64_t V = Lo; V < Hi; V += S.Step) {
-          ScalarI[static_cast<size_t>(S.Slot)] = V;
-          if (++Iterations > Opts.MaxIterations) {
-            runtimeFail("iteration budget exceeded");
-            break;
-          }
-          if (Cache)
-            Cycles += Opts.Machine.LoopOverhead * ArithScale;
-          execBlock(S.Body);
-          if (Failed)
-            break;
-        }
-        ArithScale = SavedScale;
-        return;
+        R[O.Dst].I = O.Code == Opc::DivI ? L / Rv : L % Rv;
+        break;
       }
 
-      // Parallel loop: execute sequentially, recording per-iteration cost,
-      // then rewind the clock to the modeled parallel time.
-      InParallel = true;
-      double LoopStart = Cycles;
-      std::vector<double> IterCosts;
-      for (int64_t V = Lo; V < Hi; V += S.Step) {
-        ScalarI[static_cast<size_t>(S.Slot)] = V;
-        if (++Iterations > Opts.MaxIterations) {
-          runtimeFail("iteration budget exceeded");
+#define LOCUS_DBL_OP(NAME, FIELD, EXPR)                                        \
+  case Opc::NAME: {                                                            \
+    double L = R[O.A].D, Rv = R[O.B].D;                                        \
+    (void)Rv;                                                                  \
+    chargeD();                                                                 \
+    R[O.Dst].FIELD = (EXPR);                                                   \
+    break;                                                                     \
+  }
+        LOCUS_DBL_OP(AddD, D, L + Rv)
+        LOCUS_DBL_OP(SubD, D, L - Rv)
+        LOCUS_DBL_OP(MulD, D, L * Rv)
+        LOCUS_DBL_OP(DivD, D, L / Rv)
+        LOCUS_DBL_OP(NegD, D, -L)
+        LOCUS_DBL_OP(MinD, D, std::min(L, Rv))
+        LOCUS_DBL_OP(MaxD, D, std::max(L, Rv))
+        LOCUS_DBL_OP(LtD, I, L < Rv)
+        LOCUS_DBL_OP(LeD, I, L <= Rv)
+        LOCUS_DBL_OP(GtD, I, L > Rv)
+        LOCUS_DBL_OP(GeD, I, L >= Rv)
+        LOCUS_DBL_OP(EqD, I, L == Rv)
+        LOCUS_DBL_OP(NeD, I, L != Rv)
+#undef LOCUS_DBL_OP
+
+      case Opc::AndJ:
+        if (R[O.A].I == 0) {
+          R[O.Dst].I = 0;
+          Pc = static_cast<size_t>(O.Aux);
+        }
+        break;
+      case Opc::OrJ:
+        if (R[O.A].I != 0) {
+          R[O.Dst].I = 1;
+          Pc = static_cast<size_t>(O.Aux);
+        }
+        break;
+      case Opc::Bool:
+        R[O.Dst].I = R[O.A].I != 0;
+        break;
+      case Opc::NotI:
+        R[O.Dst].I = R[O.A].I == 0;
+        break;
+
+      case Opc::Idx0:
+      case Opc::IdxN: {
+        const ArrayInfo &A = Arrays[static_cast<size_t>(O.Aux)];
+        size_t Dim = static_cast<size_t>(O.B);
+        int64_t Idx = R[O.A].I;
+        if (Idx < 0 || Idx >= A.Dims[Dim]) {
+          Error = boundsMessage(A, Dim, Idx);
+          goto Failure;
+        }
+        int64_t Part = Idx * A.Strides[Dim];
+        R[O.Dst].I = O.Code == Opc::Idx0 ? Part : R[O.Dst].I + Part;
+        break;
+      }
+      case Opc::LoadD:
+        memory(O.Aux, R[O.A].I, /*IsWrite=*/false);
+        R[O.Dst].D = PtrD[static_cast<size_t>(O.Aux)][R[O.A].I];
+        break;
+      case Opc::LoadI:
+        memory(O.Aux, R[O.A].I, /*IsWrite=*/false);
+        R[O.Dst].I = PtrI[static_cast<size_t>(O.Aux)][R[O.A].I];
+        break;
+      case Opc::StoreD:
+        storeElem(O.Aux, R[O.A].I, PtrD, R[O.B].D, O.Assign);
+        break;
+      case Opc::StoreI:
+        storeElem(O.Aux, R[O.A].I, PtrI, R[O.B].I, O.Assign);
+        break;
+
+#define LOCUS_AFFINE_FLAT                                                      \
+  const AffRef &Ref = AffRefs[static_cast<size_t>(O.Aux)];                     \
+  const RefState &St = States[static_cast<size_t>(O.Aux)];                     \
+  int64_t Flat;                                                                \
+  if (St.Safe) {                                                               \
+    Flat = static_cast<int64_t>(                                               \
+        St.Base + Ref.LoopStride * static_cast<uint64_t>(R[Ref.LoopVar].I));   \
+  } else if (!affineIndex(Ref, R, Flat)) {                                     \
+    Error = affineError(Ref, R);                                               \
+    goto Failure;                                                              \
+  }
+      case Opc::AffIdx: {
+        LOCUS_AFFINE_FLAT
+        for (int32_t N = 0; N < Ref.IntOps; ++N)
+          chargeI();
+        R[O.Dst].I = Flat;
+        break;
+      }
+      case Opc::LoadAffD: {
+        LOCUS_AFFINE_FLAT
+        R[O.Dst].D = loadAff(PtrD, Ref, Flat);
+        break;
+      }
+      case Opc::LoadAffI: {
+        LOCUS_AFFINE_FLAT
+        R[O.Dst].I = loadAff(PtrI, Ref, Flat);
+        break;
+      }
+#define LOCUS_DBL_MEM_OP(NAME, OP)                                             \
+  case Opc::NAME: {                                                            \
+    LOCUS_AFFINE_FLAT                                                          \
+    double Rv = loadAff(PtrD, Ref, Flat);                                      \
+    chargeD();                                                                 \
+    R[O.Dst].D = R[O.A].D OP Rv;                                               \
+    break;                                                                     \
+  }
+        LOCUS_DBL_MEM_OP(AddDM, +)
+        LOCUS_DBL_MEM_OP(SubDM, -)
+        LOCUS_DBL_MEM_OP(MulDM, *)
+        LOCUS_DBL_MEM_OP(DivDM, /)
+#undef LOCUS_DBL_MEM_OP
+#undef LOCUS_AFFINE_FLAT
+
+      case Opc::Jump:
+        Pc = static_cast<size_t>(O.Aux);
+        break;
+      case Opc::JumpIfZero:
+        if (R[O.A].I == 0)
+          Pc = static_cast<size_t>(O.Aux);
+        break;
+      case Opc::ForInit:
+      case Opc::ForNext: {
+        const LoopInfo &L = Loops[static_cast<size_t>(O.Aux)];
+        int64_t V;
+        if (O.Code == Opc::ForInit) {
+          V = R[O.A].I;
+          R[L.End].I = R[O.B].I;
+          if (L.NumRefs && V < R[L.End].I)
+            proveBounds(L, V, R[L.End].I);
+        } else {
+          if (Cost && L.Parallel)
+            IterCosts.push_back(Cyc - Mark);
+          V = R[L.Cur].I + L.Step;
+        }
+        if (!(V < R[L.End].I)) {
+          Pc = static_cast<size_t>(L.Exit);
           break;
         }
-        double Mark = Cycles;
-        Cycles += Opts.Machine.LoopOverhead * ArithScale;
-        execBlock(S.Body);
-        IterCosts.push_back(Cycles - Mark);
-        if (Failed)
-          break;
+        R[L.Cur].I = V;
+        R[L.Var].I = V;
+        if (++Iters > MaxIters) {
+          Error = "iteration budget exceeded";
+          goto Failure;
+        }
+        if constexpr (Cost) {
+          if (L.Parallel)
+            Mark = Cyc;
+          Cyc += LoopCost;
+        }
+        Pc = static_cast<size_t>(L.Body);
+        break;
       }
-      InParallel = false;
-      ArithScale = SavedScale;
-      if (Failed)
-        return;
-      double ParTime = scheduleTime(IterCosts, S.Par, S.Chunk) +
-                       Opts.Machine.ParallelSpawnOverhead;
-      Cycles = LoopStart + ParTime;
-      return;
+      case Opc::VecEnter:
+        SavedScale = Scale;
+        Scale *= Loops[static_cast<size_t>(O.Aux)].VecScale;
+        rescale();
+        break;
+      case Opc::VecExit:
+        Scale = SavedScale;
+        rescale();
+        break;
+      case Opc::ParEnter:
+        ParStart = Cyc;
+        IterCosts.clear();
+        break;
+      case Opc::ParExit: {
+        const LoopInfo &L = Loops[static_cast<size_t>(O.Aux)];
+        double ParTime = scheduleTime(IterCosts, L.Par, L.Chunk) +
+                         M.ParallelSpawnOverhead;
+        Cyc = ParStart + ParTime;
+        break;
+      }
+      }
     }
-    }
+  Failure:
+    Failed = true;
+    RunError = std::move(Error);
+  Done:
+    Cycles = Cyc;
+    Iterations = Iters;
+    ArithOps = Arith;
+    MemReads = Reads;
+    MemWrites = Writes;
   }
 
   RunResult run() {
     // Reset state.
-    ScalarD = InitScalarD;
-    ScalarI = InitScalarI;
+    Regs.assign(static_cast<size_t>(NumRegs), Val{.I = 0});
+    for (size_t S = 0; S < SlotTypes.size(); ++S) {
+      if (SlotTypes[S] == ElemType::Double)
+        Regs[S].D = InitScalarD[S];
+      else
+        Regs[S].I = InitScalarI[S];
+    }
+    for (const auto &[Reg, V] : ConstInit)
+      Regs[static_cast<size_t>(Reg)] = V;
+    States.assign(AffRefs.size(), RefState{});
     DataD = InitDouble;
     DataI = InitInt;
+    PtrD.assign(Arrays.size(), nullptr);
+    PtrI.assign(Arrays.size(), nullptr);
+    for (size_t Id = 0; Id < Arrays.size(); ++Id) {
+      PtrD[Id] = DataD[Id].data();
+      PtrI[Id] = DataI[Id].data();
+    }
     Cycles = 0;
-    ArithScale = 1.0;
-    InParallel = false;
     Iterations = ArithOps = MemReads = MemWrites = 0;
     Failed = false;
     RunError.clear();
     if (Opts.CountCost) {
-      Cache = std::make_unique<machine::CacheSim>(Opts.Machine);
+      if (Cache)
+        Cache->reset();
+      else
+        Cache = std::make_unique<machine::CacheSim>(Opts.Machine);
+      exec<true>();
     } else {
-      Cache.reset();
+      exec<false>();
     }
-
-    execBlock(Body);
 
     RunResult R;
     R.Ok = !Failed;

@@ -9,8 +9,11 @@
 /// OpenMP-schedule and SIMD models. The returned cycle count is the metric
 /// the search modules minimize.
 ///
-/// The evaluator first compiles the AST to an internal typed tree with
-/// resolved variable slots so repeated variant evaluations are fast.
+/// prepare() type-checks the AST once and compiles it to flat bytecode over
+/// a register file (scalars, constants, temporaries); run() interprets that
+/// bytecode. Array references whose subscripts are affine in int scalars
+/// compute their flat index in one operation, and their bounds are proved
+/// once per loop entry when the loop body cannot change the subscripts.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_EVAL_EVALUATOR_H
