@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace locus {
 namespace {
@@ -100,6 +101,13 @@ struct NamedSearcherCase {
   const char *Name;
   double QualityBound; ///< best metric must be <= bound within the budget
 };
+
+// Print the case by value: gtest's default byte dump would embed the Name
+// pointer, which changes from build to build (and run to run under ASLR)
+// and would make the test's listed name unstable.
+void PrintTo(const NamedSearcherCase &C, std::ostream *OS) {
+  *OS << C.Name << " (bound " << C.QualityBound << ")";
+}
 
 class SearcherQuality : public ::testing::TestWithParam<NamedSearcherCase> {};
 

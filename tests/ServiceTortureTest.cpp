@@ -161,10 +161,12 @@ TEST(ServiceTorture, WorkerKilledMidRunIsReassignedNotLost) {
                                     "--seed", "5", "--journal", RefJournal});
   ASSERT_TRUE(Ref.ok()) << Ref.describe() << "\n" << Ref.Stderr;
 
-  // Slot 0's first incarnation SIGKILLs itself on its 5th queue append
+  // Each slot's first incarnation SIGKILLs itself on its 5th queue append
   // (":0" = between frames: a worker process dying never tears the shared
-  // log — each frame is a single write under the flock). Its lease expires,
-  // the task is reassigned, the respawned incarnation finishes the run.
+  // log — each frame is a single write under the flock). Two workers that
+  // both stay below 5 appends finish at most 4 of the 10 tasks, so at least
+  // one dies. Its lease expires, the task is reassigned, and the surviving
+  // or respawned workers finish the run.
   SubprocessResult Srv = runVictim(
       {"--searcher", "de", "--budget", "10", "--seed", "5", "--journal",
        Dir.path() + "/svc.rlog", "--serve", "2", "--queue-dir",

@@ -25,7 +25,7 @@
 // The injector env is *cleared* at startup: a crash-armed coordinator must
 // not leak its spec into the workers it spawns (they re-exec this binary
 // and inherit the environment). Worker crash specs travel via argv instead:
-// --worker-crash-at arms slot 0's first incarnation only.
+// --worker-crash-at arms every slot's first incarnation (respawns run clean).
 //
 // Output on success (exit 0):
 //   BEST <id=value;id=value;...>
@@ -220,11 +220,15 @@ int main(int argc, char **argv) {
     if (WorkerDieImmediately)
       Base.push_back("--worker-die-immediately");
     std::string CrashAt = WorkerCrashAt;
-    Opts.Serve.WorkerArgv = [Base, CrashAt](int Slot, int Attempt) {
+    Opts.Serve.WorkerArgv = [Base, CrashAt](int /*Slot*/, int Attempt) {
       std::vector<std::string> Argv = Base;
-      // A worker crash spec arms only slot 0's first incarnation, so the
-      // respawn completes the run instead of crashing forever.
-      if (!CrashAt.empty() && Slot == 0 && Attempt == 0) {
+      // A worker crash spec arms each slot's first incarnation, so the
+      // respawns complete the run instead of crashing forever. Arming every
+      // slot, not just one, makes the death certain: which slot claims how
+      // many tasks is a race, but each task costs its worker two appends
+      // (claim, result), so first incarnations that all stop short of the
+      // Nth append finish at most Slots * (N - 1) / 2 tasks between them.
+      if (!CrashAt.empty() && Attempt == 0) {
         Argv.push_back("--crash-at");
         Argv.push_back(CrashAt);
       }
