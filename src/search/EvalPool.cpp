@@ -2,6 +2,8 @@
 
 #include "src/search/EvalPool.h"
 
+#include "src/support/Cores.h"
+
 #include <algorithm>
 
 namespace locus {
@@ -18,6 +20,7 @@ EvalPool::~EvalPool() = default; // jthread requests stop and joins
 void EvalPool::run(size_t N, const std::function<void(size_t)> &Job) {
   if (N == 0)
     return;
+  BusyScope Busy; // the caller evaluates too
   if (Workers.empty()) {
     for (size_t I = 0; I < N; ++I)
       Job(I);
@@ -61,7 +64,10 @@ void EvalPool::workerLoop(std::stop_token Stop) {
       size_t I = NextIndex++;
       const std::function<void(size_t)> *Job = Fn;
       L.unlock();
-      (*Job)(I);
+      {
+        BusyScope Busy;
+        (*Job)(I);
+      }
       L.lock();
       if (--Remaining == 0)
         DoneCv.notify_all();
